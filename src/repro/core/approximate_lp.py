@@ -41,7 +41,13 @@ import numpy as np
 
 from repro.core.fast_update import DiscretizedDuplication, FastUpdateState, default_eta
 from repro.exceptions import InvalidParameterError
-from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, coerce_batch
+from repro.samplers.base import (
+    BatchUpdateMixin,
+    Sample,
+    check_batch_bounds,
+    coerce_batch,
+    require_finite_delta,
+)
 from repro.sketch.ams import AMSSketch
 from repro.sketch.countsketch import CountSketch
 from repro.sketch.fp_estimator import MaxStabilityFpEstimator
@@ -209,6 +215,7 @@ class ApproximateLpSampler(BatchUpdateMixin):
         """Apply the stream update ``(index, delta)`` to every stage."""
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
+        require_finite_delta(delta)
         max_factor = self._dup.max_factor(index, fast=self._fast_update)
         scaled_delta = delta * max_factor
         self._cs1.update(index, scaled_delta)

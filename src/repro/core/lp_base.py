@@ -37,6 +37,27 @@ Two execution backends are offered (see DESIGN.md "Substitutions"):
     realises the identical target distribution assuming the sketches
     succeed, and exists so distribution-level experiments can afford tens of
     thousands of independent draws.
+
+Write epochs
+------------
+Between two writes (``update``, ``update_batch``) nothing a draw reads from
+the sketches can change: ``F̂_2``, ``F̂_p``, and for each of the ``N``
+``L_2`` samplers its top coordinate, top-two gap, ``L_2`` scale and value
+estimates.  Each class on the query path therefore derives its query state
+on the first draw after a write and keeps it until the next write:
+:class:`~repro.sketch.fp_estimator.MaxStabilityFpEstimator` keeps its
+``F̂_p``, :class:`~repro.samplers.jw18_lp_sampler.JW18LpSamplerEnsemble`
+keeps every replica's top two, ``L_2`` scale and value-bank estimates at
+its top coordinate, and :class:`RejectionLpSamplerBase` keeps each
+visited candidate's ``(index, |power estimate|, value estimate)``.  Every
+mutator of these classes (``update``, ``update_batch``, ``merge``,
+``concat``) calls the class's ``_invalidate()``, which drops the state; pickles and
+snapshots never carry it.  Draws stay bit-identical to recomputing
+everything per draw: the cached quantities are deterministic functions of
+the sketches, and the only randomness of a draw — each visited replica's
+gap-test jitter and the acceptance coins — is still drawn on every draw,
+from the same generators and in the same order.  Oracle mode keeps no
+candidate state, since it draws fresh ``L_2`` samples on every call.
 """
 
 from __future__ import annotations
@@ -47,7 +68,13 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, coerce_batch
+from repro.samplers.base import (
+    BatchUpdateMixin,
+    Sample,
+    check_batch_bounds,
+    coerce_batch,
+    require_finite_delta,
+)
 from repro.samplers.jw18_lp_sampler import PerfectL2Sampler
 from repro.sketch.ams import AMSSketch
 from repro.sketch.fp_estimator import FpEstimator
@@ -151,6 +178,23 @@ class RejectionLpSamplerBase(BatchUpdateMixin):
 
         self._num_updates = 0
         self._clip_events = 0
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Forget the candidates derived in the current write epoch."""
+        self._candidates: dict[int, tuple[int, float, float]] = {}
+
+    def __getstate__(self):
+        """Pickle without the per-epoch candidates (rebuilt on demand)."""
+        state = self.__dict__.copy()
+        del state["_candidates"]
+        return state
+
+    def __setstate__(self, state):
+        """Restore with an empty candidate cache."""
+        state.pop("_candidates", None)
+        self.__dict__.update(state)
+        self._invalidate()
 
     # ------------------------------------------------------------------ #
     # Properties and bookkeeping
@@ -201,6 +245,7 @@ class RejectionLpSamplerBase(BatchUpdateMixin):
         """Apply a turnstile update to every internal structure."""
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
+        require_finite_delta(delta)
         if self._backend == "oracle":
             self._exact_vector[index] += delta
         else:
@@ -209,6 +254,7 @@ class RejectionLpSamplerBase(BatchUpdateMixin):
             self._f2_sketch.update(index, delta)
             self._fp_sketch.update(index, delta)
         self._num_updates += 1
+        self._invalidate()
 
     def update_batch(self, indices, deltas) -> None:
         """Apply a batch to every internal structure (vectorised per structure)."""
@@ -223,6 +269,7 @@ class RejectionLpSamplerBase(BatchUpdateMixin):
             self._f2_sketch.update_batch(indices, deltas)
             self._fp_sketch.update_batch(indices, deltas)
         self._num_updates += int(indices.size)
+        self._invalidate()
 
     # ------------------------------------------------------------------ #
     # Exponent estimation hook (implemented by Algorithms 1 and 2)
@@ -246,9 +293,21 @@ class RejectionLpSamplerBase(BatchUpdateMixin):
             return f2, fp
         return self._f2_sketch.estimate_f2(), self._fp_sketch.estimate()
 
+    def _candidate(self, index: int, estimates: np.ndarray,
+                   pivot: float) -> tuple[int, float, float]:
+        """``(index, |power estimate|, value estimate)`` of one ``L_2`` draw."""
+        power_estimate = abs(self._estimate_power(index, estimates, pivot))
+        return index, power_estimate, float(np.mean(estimates))
+
     def _candidate_samples(self):
-        """Yield ``(index, estimates, pivot)`` triples for each ``L_2`` draw."""
-        needed = self._num_estimates_needed()
+        """Yield a :meth:`_candidate` triple for each ``L_2`` draw.
+
+        In sketch mode a replica's triple is computed on the first draw of
+        the write epoch that reaches it and reused afterwards (see "Write
+        epochs"); ``sample_replica`` still runs on every visit, so each
+        replica's gap test draws its jitter as before.
+        """
+        needed = max(self._num_estimates_needed(), 1)
         if self._backend == "oracle":
             vector = self._exact_vector
             nonzero = np.flatnonzero(vector)
@@ -260,26 +319,28 @@ class RejectionLpSamplerBase(BatchUpdateMixin):
             for index in draws:
                 index = int(index)
                 exact = float(vector[index])
-                estimates = np.full(max(needed, 1), exact)
-                yield index, estimates, exact
+                yield self._candidate(index, np.full(needed, exact), exact)
         else:
             ensemble = self._l2_ensemble
             native = hasattr(ensemble, "independent_value_estimates")
+            candidates = self._candidates
             for replica in range(ensemble.num_replicas):
                 drawn = ensemble.sample_replica(replica)
                 if drawn is None:
                     continue
-                index = drawn.index
-                if native:
-                    estimates = ensemble.independent_value_estimates(
-                        replica, index, max(needed, 1))
-                else:
-                    estimates = ensemble.replicas[replica].independent_value_estimates(
-                        index, max(needed, 1))
-                pivot = drawn.value_estimate
-                if pivot is None or pivot == 0.0:
-                    pivot = float(np.mean(estimates)) or 1.0
-                yield index, estimates, pivot
+                if replica not in candidates:
+                    index = drawn.index
+                    if native:
+                        estimates = ensemble.independent_value_estimates(
+                            replica, index, needed)
+                    else:
+                        estimates = ensemble.replicas[replica].independent_value_estimates(
+                            index, needed)
+                    pivot = drawn.value_estimate
+                    if pivot is None or pivot == 0.0:
+                        pivot = float(np.mean(estimates)) or 1.0
+                    candidates[replica] = self._candidate(index, estimates, pivot)
+                yield candidates[replica]
 
     def sample(self) -> Optional[Sample]:
         """Return a perfect ``L_p`` draw, or ``None`` for the ``FAIL`` symbol."""
@@ -292,15 +353,13 @@ class RejectionLpSamplerBase(BatchUpdateMixin):
             self._rejection_constant * self._n**self._space_exponent * fp_estimate
         )
         attempts = 0
-        for index, estimates, pivot in self._candidate_samples():
+        for index, power_estimate, value_estimate in self._candidate_samples():
             attempts += 1
-            power_estimate = abs(self._estimate_power(index, estimates, pivot))
             acceptance = scale * power_estimate
             if acceptance > 1.0:
                 self._clip_events += 1
                 acceptance = 1.0
             if self._rng.random() < acceptance:
-                value_estimate = float(np.mean(estimates)) if len(estimates) else None
                 return Sample(
                     index=index,
                     value_estimate=value_estimate,

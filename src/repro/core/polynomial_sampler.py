@@ -32,7 +32,13 @@ import numpy as np
 
 from repro.core.perfect_lp_general import make_perfect_lp_sampler
 from repro.exceptions import InvalidParameterError
-from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, coerce_batch
+from repro.samplers.base import (
+    BatchUpdateMixin,
+    Sample,
+    check_batch_bounds,
+    coerce_batch,
+    require_finite_delta,
+)
 from repro.utils.rng import SeedLike, ensure_rng, random_seed_array
 from repro.utils.taylor import TaylorPowerEstimator, default_num_terms
 from repro.utils.validation import require_positive_int
@@ -201,6 +207,7 @@ class PolynomialSampler(BatchUpdateMixin):
         """Apply a turnstile update."""
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
+        require_finite_delta(delta)
         if self._backend == "oracle":
             self._exact_vector[index] += delta
         else:

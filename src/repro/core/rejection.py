@@ -24,7 +24,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, coerce_batch
+from repro.samplers.base import (
+    BatchUpdateMixin,
+    Sample,
+    check_batch_bounds,
+    coerce_batch,
+    require_finite_delta,
+)
 from repro.samplers.l0_sampler import PerfectL0Sampler
 from repro.utils.rng import SeedLike, ensure_rng, random_seed_array
 from repro.utils.validation import require_positive_int
@@ -102,6 +108,7 @@ class RejectionGSampler(BatchUpdateMixin):
         """Apply a turnstile update to every repetition."""
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
+        require_finite_delta(delta)
         for sampler in self._l0_samplers:
             sampler.update(index, delta)
         self._num_updates += 1

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.perfect_lp_general import make_perfect_lp_sampler
 from repro.exceptions import InvalidParameterError, SamplerStateError
-from repro.samplers.base import BatchUpdateMixin, coerce_batch
+from repro.samplers.base import BatchUpdateMixin, coerce_batch, require_finite_delta
 from repro.sketch.countsketch import CountSketch
 from repro.sketch.fp_estimator import MaxStabilityFpEstimator
 from repro.utils.rng import SeedLike, ensure_rng, random_seed_array
@@ -122,6 +122,7 @@ class SubsetMomentEstimator(BatchUpdateMixin):
     # ------------------------------------------------------------------ #
     def update(self, index: int, delta: float) -> None:
         """Apply a turnstile update to every repetition."""
+        require_finite_delta(delta)
         for sampler in self._samplers:
             sampler.update(index, delta)
         for estimator in self._estimators:

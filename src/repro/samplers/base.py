@@ -71,6 +71,7 @@ from repro.utils.batching import (
     coerce_batch,
     iter_batches,
     replay_stream,
+    require_finite_delta,
     stream_arrays,
 )
 
@@ -84,6 +85,7 @@ __all__ = [
     "collect_samples",
     "iter_batches",
     "replay_stream",
+    "require_finite_delta",
     "stream_arrays",
 ]
 

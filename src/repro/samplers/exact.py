@@ -14,7 +14,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, coerce_batch
+from repro.samplers.base import (
+    BatchUpdateMixin,
+    Sample,
+    check_batch_bounds,
+    coerce_batch,
+    require_finite_delta,
+)
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_moment_order, require_positive_int
 
@@ -49,6 +55,7 @@ class ExactGSampler(BatchUpdateMixin):
         """Apply the stream update ``(index, delta)``."""
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
+        require_finite_delta(delta)
         self._vector[index] += delta
 
     def update_batch(self, indices, deltas) -> None:

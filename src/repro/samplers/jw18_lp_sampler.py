@@ -35,12 +35,35 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, coerce_batch
+from repro.samplers.base import (
+    BatchUpdateMixin,
+    Sample,
+    check_batch_bounds,
+    coerce_batch,
+    require_finite_delta,
+)
 from repro.sketch.ams import AMSEnsemble, AMSSketch
 from repro.sketch.countsketch import AveragedCountSketch, CountSketch, CountSketchEnsemble
 from repro.utils.ensemble import ReplicaEnsemble, register_ensemble
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_moment_order, require_positive_int
+
+
+def _cyclic_group_means(estimates: np.ndarray, count: int,
+                        group_size: int | None) -> np.ndarray:
+    """Means of ``count`` groups of ``group_size`` consecutive estimates.
+
+    Group ``g`` starts at estimate ``g * group_size`` and wraps around the
+    end; ``group_size=None`` splits the estimates evenly over ``count``.
+    """
+    size = len(estimates)
+    if group_size is None:
+        group_size = max(1, size // count)
+    if group_size > size:
+        raise InvalidParameterError(
+            f"group_size {group_size} exceeds the {size} value-bank estimates")
+    starts = np.arange(count) * group_size % size
+    return estimates[(starts[:, None] + np.arange(group_size)) % size].mean(axis=1)
 
 
 class JW18LpSampler(BatchUpdateMixin):
@@ -142,6 +165,7 @@ class JW18LpSampler(BatchUpdateMixin):
         """Apply the stream update ``(index, delta)`` to the scaled vector."""
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
+        require_finite_delta(delta)
         scaled_delta = delta * self._inverse_scale[index]
         if self._exact_recovery:
             self._scaled_vector[index] += scaled_delta
@@ -235,20 +259,30 @@ class JW18LpSampler(BatchUpdateMixin):
         if self._exact_recovery:
             return np.full(count, float(self._scaled_vector[index]) * unscale)
         estimates = self._value_bank.instance_estimates(index)
-        if group_size is None:
-            group_size = max(1, len(estimates) // count)
-        groups = []
-        for group_index in range(count):
-            start = (group_index * group_size) % len(estimates)
-            chunk = estimates[start:start + group_size]
-            if len(chunk) < group_size:
-                chunk = np.concatenate([chunk, estimates[: group_size - len(chunk)]])
-            groups.append(float(np.mean(chunk)))
-        return np.asarray(groups) * unscale
+        return _cyclic_group_means(estimates, count, group_size) * unscale
 
     def scaled_vector_estimate(self) -> np.ndarray:
         """The estimated scaled vector (exact in oracle mode)."""
         return np.array(self._scaled_estimates(), copy=True)
+
+
+class _EpochCache:
+    """What a JW18 ensemble derives from its substrates between two writes.
+
+    ``top_two`` holds four ``(R,)`` arrays: each replica's top coordinate,
+    its magnitude, the runner-up magnitude, and whether any estimate is
+    non-zero.  ``l2_scales`` holds each replica's AMS estimate of
+    ``||z||_2`` (sketch mode).  Both are built by the first draw of the
+    epoch, which also enters each replica's value-bank estimates at its top
+    coordinate into ``member_estimates``; the dictionaries are keyed by
+    ``(replica, index)`` and fill further as queries reach other pairs.
+    """
+
+    def __init__(self) -> None:
+        self.top_two: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.l2_scales: np.ndarray | None = None
+        self.member_estimates: dict[tuple[int, int], np.ndarray] = {}
+        self.values: dict[tuple[int, int], float] = {}
 
 
 class JW18LpSamplerEnsemble(ReplicaEnsemble):
@@ -266,6 +300,11 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
 
     Replicas must be *fresh* (un-updated) when the ensemble is built: the
     stacked state starts from the instances' (zero) tables.
+
+    Everything a draw reads from the substrates is fixed between two
+    writes, so it is derived once per write epoch (see :class:`_EpochCache`)
+    and every mutator calls :meth:`_invalidate`.  Only the gap-test jitter
+    is drawn afresh on every :meth:`sample_replica`.
     """
 
     def __init__(self, instances) -> None:
@@ -300,7 +339,24 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
             self._value_group = first._value_bank.num_instances
             self._ams = AMSEnsemble([inst._ams for inst in instances])
         self._num_updates = 0
-        self._estimates_cache: np.ndarray | None = None
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Forget the query state derived from the substrates."""
+        self._epoch = _EpochCache()
+
+    def __getstate__(self):
+        """Pickle without the derived query state (rebuilt on demand)."""
+        state = self.__dict__.copy()
+        del state["_epoch"]
+        return state
+
+    def __setstate__(self, state):
+        """Restore with an empty query state; drops a legacy estimates cache."""
+        state.pop("_estimates_cache", None)
+        state.pop("_epoch", None)
+        self.__dict__.update(state)
+        self._invalidate()
 
     @classmethod
     def concat(cls, ensembles: "list[JW18LpSamplerEnsemble]") -> "JW18LpSamplerEnsemble":
@@ -341,7 +397,7 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
             merged._value = CountSketchEnsemble.concat([e._value for e in ensembles])
             merged._ams = AMSEnsemble.concat([e._ams for e in ensembles])
         merged._num_updates = first._num_updates
-        merged._estimates_cache = None
+        merged._invalidate()
         return merged
 
     def merge(self, other: "JW18LpSamplerEnsemble") -> "JW18LpSamplerEnsemble":
@@ -374,7 +430,7 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
             self._value.merge(other._value)
             self._ams.merge(other._ams)
         self._num_updates += other._num_updates
-        self._estimates_cache = None
+        self._invalidate()
         return self
 
     def update_batch(self, indices, deltas) -> None:
@@ -393,31 +449,66 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
             self._value.update_batch(indices, scaled)
             self._ams.update_batch(indices, scaled)
         self._num_updates += int(indices.size)
-        self._estimates_cache = None
+        self._invalidate()
 
-    def _scaled_estimates(self) -> np.ndarray:
-        """The ``(R, n)`` matrix of per-replica scaled-vector estimates."""
-        if self._estimates_cache is None:
-            if self._exact:
-                self._estimates_cache = self._scaled_vectors
+    def _epoch_state(self) -> _EpochCache:
+        """The epoch's query state, built for every replica on first use.
+
+        One pass over the ``(R, n)`` estimates finds each replica's top
+        coordinate (``argmax``) and runner-up magnitude (``np.partition``).
+        ``argmax`` takes the first of tied maxima where ``argsort(-|z|)``
+        may take another, so a row tied at the top (or holding a NaN)
+        keeps the ``argsort`` of the standalone ``sample()``.  In sketch
+        mode one gather then reads every replica's value-bank estimates at
+        its top coordinate, and one pass the AMS ``L_2`` scales.
+        """
+        epoch = self._epoch
+        if epoch.top_two is None:
+            estimates = (self._scaled_vectors if self._exact
+                         else self._main.estimate_all_members())
+            magnitudes = np.abs(estimates)
+            best = np.argmax(magnitudes, axis=1)
+            top = np.take_along_axis(magnitudes, best[:, None], axis=1)[:, 0]
+            nonzero = np.any(magnitudes > 0, axis=1)
+            if self._n > 1:
+                runner_up = np.partition(magnitudes, self._n - 2, axis=1)[:, self._n - 2]
             else:
-                self._estimates_cache = self._main.estimate_all_members()
-        return self._estimates_cache
+                runner_up = np.zeros(len(best))
+            for row in np.flatnonzero(nonzero & ~(runner_up < top)):
+                order = np.argsort(-magnitudes[row])
+                best[row] = order[0]
+                top[row] = magnitudes[row, order[0]]
+                runner_up[row] = magnitudes[row, order[1]]
+            epoch.top_two = (best, top, runner_up, nonzero)
+            if not self._exact:
+                group = self._value_group
+                bank = self._value.estimate_each_member_at(np.repeat(best, group))
+                for replica, estimates in enumerate(bank.reshape(-1, group)):
+                    epoch.member_estimates[(replica, int(best[replica]))] = estimates
+                epoch.l2_scales = self._ams.estimate_l2_members()
+        return epoch
 
     def _value_member_estimates(self, replica: int, index: int) -> np.ndarray:
         """Per-member value-bank estimates of one replica at one coordinate."""
-        members = slice(replica * self._value_group,
-                        (replica + 1) * self._value_group)
-        return self._value.estimate_members_at(members, index)
+        cache = self._epoch.member_estimates
+        key = (replica, index)
+        if key not in cache:
+            cache[key] = self._value.estimate_members_at(
+                replica * self._value_group, (replica + 1) * self._value_group, index)
+        return cache[key]
 
     def estimate_value(self, replica: int, index: int) -> float:
         """Replica's estimate of ``x_index`` (matches the standalone method)."""
-        instance = self._instances[replica]
-        if self._exact:
-            scaled = float(self._scaled_vectors[replica, index])
-        else:
-            scaled = float(np.mean(self._value_member_estimates(replica, index)))
-        return scaled * instance._exponentials[index] ** (1.0 / self._p)
+        cache = self._epoch.values
+        key = (replica, index)
+        if key not in cache:
+            instance = self._instances[replica]
+            if self._exact:
+                scaled = float(self._scaled_vectors[replica, index])
+            else:
+                scaled = float(np.mean(self._value_member_estimates(replica, index)))
+            cache[key] = scaled * instance._exponentials[index] ** (1.0 / self._p)
+        return cache[key]
 
     def independent_value_estimates(self, replica: int, index: int, count: int,
                                     group_size: int | None = None) -> np.ndarray:
@@ -428,34 +519,24 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         if self._exact:
             return np.full(count, float(self._scaled_vectors[replica, index]) * unscale)
         estimates = self._value_member_estimates(replica, index)
-        if group_size is None:
-            group_size = max(1, len(estimates) // count)
-        groups = []
-        for group_index in range(count):
-            start = (group_index * group_size) % len(estimates)
-            chunk = estimates[start:start + group_size]
-            if len(chunk) < group_size:
-                chunk = np.concatenate([chunk, estimates[: group_size - len(chunk)]])
-            groups.append(float(np.mean(chunk)))
-        return np.asarray(groups) * unscale
+        return _cyclic_group_means(estimates, count, group_size) * unscale
 
     def sample_replica(self, replica: int) -> Optional[Sample]:
         """One-shot draw of replica ``replica`` (mirrors ``sample()``)."""
         if self._num_updates == 0:
             return None
         instance = self._instances[replica]
-        estimates = self._scaled_estimates()[replica]
-        magnitudes = np.abs(estimates)
-        if not np.any(magnitudes > 0):
+        epoch = self._epoch_state()
+        best, top, runner_up, nonzero = epoch.top_two
+        if not nonzero[replica]:
             return None
-        order = np.argsort(-magnitudes)
-        best = int(order[0])
-        runner_up_magnitude = float(magnitudes[order[1]]) if self._n > 1 else 0.0
-        gap = float(magnitudes[best]) - runner_up_magnitude
+        best = int(best[replica])
+        top = float(top[replica])
+        gap = top - float(runner_up[replica])
 
         threshold = 0.0
         if instance._gap_test and not self._exact:
-            scale = self._ams.estimate_l2_member(replica)
+            scale = float(epoch.l2_scales[replica])
             jitter = instance._rng.uniform(0.5, 1.5)
             threshold = (instance._gap_multiplier * jitter * scale
                          / math.sqrt(instance._buckets))
@@ -469,7 +550,7 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
             metadata={
                 "gap": gap,
                 "gap_threshold": threshold,
-                "scaled_maximum": float(magnitudes[best]),
+                "scaled_maximum": top,
                 "exponential": float(instance._exponentials[best]),
             },
         )

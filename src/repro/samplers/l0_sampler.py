@@ -32,7 +32,13 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, coerce_batch
+from repro.samplers.base import (
+    BatchUpdateMixin,
+    Sample,
+    check_batch_bounds,
+    coerce_batch,
+    require_finite_delta,
+)
 from repro.sketch.sparse_recovery import KSparseRecovery
 from repro.utils.batching import deepest_levels, route_subsampled_batch
 from repro.utils.ensemble import LevelStackEnsemble, register_ensemble
@@ -101,6 +107,7 @@ class PerfectL0Sampler(BatchUpdateMixin):
         """Route the update to every level the coordinate participates in."""
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
+        require_finite_delta(delta)
         deepest = self._max_level(index)
         for level in range(deepest + 1):
             self._levels[level].update(index, delta)

@@ -22,7 +22,13 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, coerce_batch
+from repro.samplers.base import (
+    BatchUpdateMixin,
+    Sample,
+    check_batch_bounds,
+    coerce_batch,
+    require_finite_delta,
+)
 from repro.sketch.ams import AMSEnsemble, AMSSketch
 from repro.sketch.countsketch import CountSketch, CountSketchEnsemble
 from repro.utils.ensemble import ReplicaEnsemble, register_ensemble
@@ -87,6 +93,7 @@ class PrecisionLpSampler(BatchUpdateMixin):
         """Apply the stream update ``(index, delta)``."""
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
+        require_finite_delta(delta)
         self._sketch.update(index, delta * self._inverse_scale[index])
         self._ams.update(index, delta)
         self._num_updates += 1

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import StreamError
-from repro.samplers.base import BatchUpdateMixin, Sample, coerce_batch
+from repro.samplers.base import BatchUpdateMixin, Sample, coerce_batch, require_finite_delta
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_positive_int
 
@@ -41,6 +41,7 @@ class ReservoirL1Sampler(BatchUpdateMixin):
 
     def update(self, index: int, delta: float) -> None:
         """Process one insertion; deletions are rejected."""
+        require_finite_delta(delta)
         if delta < 0:
             raise StreamError(
                 "reservoir sampling supports insertion-only streams; "

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError, StreamError
 from repro.functions.base import GFunction, as_g_function
-from repro.samplers.base import BatchUpdateMixin, Sample
+from repro.samplers.base import BatchUpdateMixin, Sample, require_finite_delta
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_positive_int
 
@@ -160,6 +160,7 @@ class TrulyPerfectGSampler(BatchUpdateMixin):
         """Process an insertion of ``delta`` (a positive integer) to ``index``."""
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
+        require_finite_delta(delta)
         if delta <= 0:
             raise StreamError("truly perfect samplers require insertion-only streams")
         delta_int = int(round(delta))
@@ -255,6 +256,7 @@ class ExponentialRaceSampler(BatchUpdateMixin):
         """Process an insertion of ``delta`` (positive integer) to ``index``."""
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
+        require_finite_delta(delta)
         if delta <= 0:
             raise StreamError("the exponential race requires insertion-only streams")
         delta_int = int(round(delta))

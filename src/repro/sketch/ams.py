@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import InvalidParameterError, SamplerStateError
+from repro.sketch.countsketch import median_of_rows
 from repro.sketch.hashing import SignHashFamily
 from repro.utils.batching import BatchUpdateMixin, check_batch_bounds, coerce_batch
 from repro.utils.ensemble import ReplicaEnsemble, register_ensemble
@@ -414,6 +415,14 @@ class AMSEnsemble(ReplicaEnsemble):
     def estimate_l2_member(self, member: int) -> float:
         """``||x||_2`` estimate of one member."""
         return float(np.sqrt(self.estimate_f2_member(member)))
+
+    def estimate_l2_members(self) -> np.ndarray:
+        """Every member's :meth:`estimate_l2_member`, bitwise, in one pass."""
+        if np.any(self._num_updates == 0):
+            raise SamplerStateError("AMS sketch queried before any update")
+        squares = self._xp.to_numpy(self._counters) ** 2
+        groups = squares.reshape(self.num_members, self._depth, self._width)
+        return np.sqrt(median_of_rows(groups.mean(axis=2), axis=1))
 
     def sample_replica(self, replica: int):
         """AMS has no ``sample``; ensembles of it are query-only."""

@@ -99,6 +99,22 @@ class MaxStabilityFpEstimator(BatchUpdateMixin):
             ])
             self._scaled_vectors = None
         self._num_updates = 0
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Forget the cached ``F̂_p``; every write to the sketches calls this."""
+        self._estimate_cache: float | None = None
+
+    def __getstate__(self):
+        """Pickle without the cached estimate, which is re-derived on demand."""
+        state = self.__dict__.copy()
+        state["_estimate_cache"] = None
+        return state
+
+    def __setstate__(self, state):
+        """Restore; pickles from builds without the cache get an empty one."""
+        state["_estimate_cache"] = None
+        self.__dict__.update(state)
 
     @property
     def repetitions(self) -> int:
@@ -122,6 +138,7 @@ class MaxStabilityFpEstimator(BatchUpdateMixin):
             self._sketch_ensemble.update_batch(
                 np.asarray([index], dtype=np.int64), scaled_deltas[:, None])
         self._num_updates += 1
+        self._invalidate()
 
     def update_batch(self, indices, deltas) -> None:
         """Apply a whole batch, vectorised across all repetitions at once."""
@@ -137,6 +154,7 @@ class MaxStabilityFpEstimator(BatchUpdateMixin):
         else:
             self._sketch_ensemble.update_batch(indices, scaled)
         self._num_updates += int(indices.size)
+        self._invalidate()
 
     def _maximum_scaled_magnitudes(self) -> np.ndarray:
         """Per-repetition recovered maxima ``max_i |z^{(r)}_i|``."""
@@ -146,16 +164,23 @@ class MaxStabilityFpEstimator(BatchUpdateMixin):
         return np.max(np.abs(estimates), axis=1)
 
     def estimate(self) -> float:
-        """The unbiased estimate ``F̂_p = (k - 1) / sum_j M_j^{-1}``."""
+        """The unbiased estimate ``F̂_p = (k - 1) / sum_j M_j^{-1}``.
+
+        Computed on the first call after a write and kept until the next.
+        """
         if self._num_updates == 0:
             raise SamplerStateError("Fp estimator queried before any update")
-        maxima = self._maximum_scaled_magnitudes()
-        if np.any(maxima <= 0):
-            # All-zero repetitions can only occur for the zero vector (or a
-            # catastrophically failed sketch); report zero moment.
-            return 0.0
-        inverse_moments = maxima ** (-self._p)
-        return float((self._repetitions - 1) / inverse_moments.sum())
+        if self._estimate_cache is None:
+            maxima = self._maximum_scaled_magnitudes()
+            if np.any(maxima <= 0):
+                # All-zero repetitions can only occur for the zero vector (or
+                # a catastrophically failed sketch); report zero moment.
+                self._estimate_cache = 0.0
+            else:
+                inverse_moments = maxima ** (-self._p)
+                self._estimate_cache = float(
+                    (self._repetitions - 1) / inverse_moments.sum())
+        return self._estimate_cache
 
     def estimate_variance_bound(self) -> float:
         """The a-priori variance bound ``F_p^2 / (repetitions - 2)`` (relative form)."""
@@ -244,6 +269,7 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
         for mine, theirs in zip(self._instances, other._instances):
             mine._sketch_ensemble.merge(theirs._sketch_ensemble)
             mine._num_updates += theirs._num_updates
+            mine._invalidate()
         return self
 
     def check_mergeable(self, other: "FpEstimatorEnsemble") -> None:
@@ -299,6 +325,7 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
                 scaled = deltas * instance._inverse_scales[:, indices]
                 instance._sketch_ensemble.update_batch(indices, scaled)
                 instance._num_updates += int(indices.size)
+                instance._invalidate()
 
     def estimate_replica(self, replica: int) -> float:
         """The unbiased ``F̂_p`` estimate of one replica."""

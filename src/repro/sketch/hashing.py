@@ -59,7 +59,11 @@ from typing import Iterator, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.utils.batching import MERSENNE_PRIME_61, polyval_mersenne
+from repro.utils.batching import (
+    MERSENNE_PRIME_61,
+    polyval_mersenne,
+    polyval_mersenne_each,
+)
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.table_cache import (
     cached_table,
@@ -268,6 +272,13 @@ class KWiseHashFamily:
             out[start:stop] = values
         return out
 
+    def hash_each(self, keys: np.ndarray) -> np.ndarray:
+        """Member ``f`` at ``keys[f]`` alone (``len(keys) == F``): the
+        diagonal of :meth:`hash_all`, bitwise, at ``F`` cells."""
+        values = polyval_mersenne_each(
+            self._coefficients, np.asarray(keys, dtype=np.int64))
+        return (values % np.uint64(self._range_size)).astype(np.int64)
+
     def table_key(self, universe: int, kind: str = "kwise"):
         """The :class:`~repro.utils.table_cache.TableKey` of this family's
         full-universe table (picklable; shared by byte-identical families)."""
@@ -366,6 +377,11 @@ class SignHashFamily:
     def sign_all(self, keys: np.ndarray) -> np.ndarray:
         """``(F, len(keys))`` table of ``{-1, +1}`` signs (int64)."""
         bits = self._family.hash_all(keys)
+        return np.where(bits == 1, 1, -1).astype(np.int64)
+
+    def sign_each(self, keys: np.ndarray) -> np.ndarray:
+        """Member ``f``'s sign at ``keys[f]`` (see :meth:`KWiseHashFamily.hash_each`)."""
+        bits = self._family.hash_each(keys)
         return np.where(bits == 1, 1, -1).astype(np.int64)
 
     def table_key(self, universe: int, kind: str = "sign"):

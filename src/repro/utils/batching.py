@@ -9,7 +9,10 @@ the whole library ingest updates in *batches*:
 ``coerce_batch(indices, deltas)``
     Validate and normalise a batch into parallel ``int64`` / ``float64``
     arrays, raising :class:`~repro.exceptions.InvalidParameterError` on
-    mismatched lengths or non-1-D input.
+    mismatched lengths, non-1-D input or a non-finite delta.
+``require_finite_delta(delta)``
+    The same refusal of NaN and ``±inf`` for a scalar ``update``.  A linear
+    sketch cannot forget a non-finite delta once it has added it.
 ``stream_arrays(stream)``
     Extract ``(indices, deltas)`` arrays from a
     :class:`~repro.streams.stream.TurnstileStream` (zero-copy) or any
@@ -44,6 +47,7 @@ module's no-cycle import discipline.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Tuple
 
 import numpy as np
@@ -66,6 +70,7 @@ __all__ = [
     "mersenne_reduce",
     "polyval_mersenne",
     "replay_stream",
+    "require_finite_delta",
     "deepest_levels",
     "route_subsampled_batch",
 ]
@@ -168,6 +173,35 @@ def mersenne_powmod(base: int, exponents: np.ndarray) -> np.ndarray:
     return result
 
 
+def _reduce_keys(keys: np.ndarray) -> np.ndarray:
+    """Integer keys reduced modulo the prime, as ``uint64``."""
+    keys = np.asarray(keys)
+    if keys.dtype.kind == "u":
+        # Unsigned keys reduce in the uint64 domain; mixing uint64 with a
+        # signed modulus would silently promote to float64 and lose the
+        # low bits of large keys.
+        return keys.astype(np.uint64) % np.uint64(MERSENNE_PRIME_61)
+    if keys.dtype != np.int64:
+        keys = keys.astype(np.int64)
+    return np.mod(keys, np.int64(MERSENNE_PRIME_61)).astype(np.uint64)
+
+
+def _horner_mersenne(coefficients: np.ndarray, points: np.ndarray,
+                     shape: tuple) -> np.ndarray:
+    """Horner evaluation into an array of ``shape``; ``coefficients[..., j]``
+    and ``points`` broadcast to it."""
+    k = coefficients.shape[-1]
+    # Horner with deferred coefficient reduction: after adding a
+    # coefficient the accumulator is below 2^62, which mersenne_mulmod
+    # tolerates, so only one full reduction is needed at the end.
+    result = np.zeros(shape, dtype=np.uint64)
+    result += coefficients[..., k - 1]
+    for power in range(k - 2, -1, -1):
+        result = mersenne_mulmod(result, points)
+        result += coefficients[..., power]
+    return mersenne_reduce(result)
+
+
 def polyval_mersenne(coefficients: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Evaluate stacked polynomials over ``GF(2^61 - 1)`` at integer points.
 
@@ -180,27 +214,20 @@ def polyval_mersenne(coefficients: np.ndarray, keys: np.ndarray) -> np.ndarray:
     tables at once.
     """
     coefficients = np.asarray(coefficients, dtype=np.uint64)
-    keys = np.asarray(keys)
-    if keys.dtype.kind == "u":
-        # Unsigned keys reduce in the uint64 domain; mixing uint64 with a
-        # signed modulus would silently promote to float64 and lose the
-        # low bits of large keys.
-        reduced = keys.astype(np.uint64) % np.uint64(MERSENNE_PRIME_61)
-    else:
-        if keys.dtype != np.int64:
-            keys = keys.astype(np.int64)
-        reduced = np.mod(keys, np.int64(MERSENNE_PRIME_61)).astype(np.uint64)
-    lead_shape = coefficients.shape[:-1]
-    k = coefficients.shape[-1]
-    # Horner with deferred coefficient reduction: after adding a
-    # coefficient the accumulator is below 2^62, which mersenne_mulmod
-    # tolerates, so only one full reduction is needed at the end.
-    result = np.zeros(lead_shape + reduced.shape, dtype=np.uint64)
-    result += coefficients[..., k - 1, None]
-    for power in range(k - 2, -1, -1):
-        result = mersenne_mulmod(result, reduced)
-        result += coefficients[..., power, None]
-    return mersenne_reduce(result)
+    reduced = _reduce_keys(keys)
+    return _horner_mersenne(coefficients[..., None, :], reduced,
+                            coefficients.shape[:-1] + reduced.shape)
+
+
+def polyval_mersenne_each(coefficients: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Polynomial ``f`` of an ``(F, k)`` stack evaluated at ``keys[f]`` only.
+
+    The diagonal of ``polyval_mersenne(coefficients, keys)``, bit for bit,
+    at ``F`` cells instead of ``F**2``.
+    """
+    coefficients = np.asarray(coefficients, dtype=np.uint64)
+    return _horner_mersenne(coefficients, _reduce_keys(keys),
+                            coefficients.shape[:-1])
 
 
 def coerce_batch(indices, deltas) -> Tuple[np.ndarray, np.ndarray]:
@@ -209,7 +236,8 @@ def coerce_batch(indices, deltas) -> Tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     InvalidParameterError
-        If either argument is not 1-D or the lengths differ.
+        If either argument is not 1-D, the lengths differ, or a delta is
+        NaN or infinite.
     """
     try:
         raw_indices = np.asarray(indices)
@@ -241,7 +269,16 @@ def coerce_batch(indices, deltas) -> Tuple[np.ndarray, np.ndarray]:
             f"batch indices and deltas must have the same length, got "
             f"{indices.shape[0]} and {deltas.shape[0]}"
         )
+    if not np.isfinite(deltas).all():
+        bad = deltas[~np.isfinite(deltas)][0]
+        raise InvalidParameterError(f"batch deltas must be finite, got {bad}")
     return indices, deltas
+
+
+def require_finite_delta(delta: float) -> None:
+    """Refuse a NaN or infinite scalar delta with InvalidParameterError."""
+    if not math.isfinite(delta):
+        raise InvalidParameterError(f"update delta must be finite, got {delta}")
 
 
 def check_batch_bounds(indices: np.ndarray, n: int) -> None:

@@ -88,7 +88,7 @@ def taylor_power_estimate(estimates: Sequence[float], pivot: float, exponent: fl
     return total
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaylorPowerEstimator:
     """Reusable configuration of the Lemma 2.7 estimator.
 
@@ -107,14 +107,45 @@ class TaylorPowerEstimator:
     def __post_init__(self) -> None:
         if self.num_terms < 0:
             raise InvalidParameterError("num_terms must be non-negative")
+        # C(r, q) for q = 0..Q, each extended from the previous one by the
+        # factor generalized_binomial would multiply in next, so every
+        # coefficient carries the same rounding as a fresh call.
+        coefficients = [1.0]
+        for a in range(self.num_terms):
+            coefficients.append(coefficients[-1] * ((self.exponent - a) / (a + 1)))
+        object.__setattr__(self, "_coefficients", tuple(coefficients))
+
+    def __setstate__(self, state):
+        """Restore, rebuilding the coefficients (pickles made before they
+        were precomputed carry none)."""
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def required_estimates(self) -> int:
         """Number of independent coordinate estimates the estimator consumes."""
         return self.num_terms
 
     def estimate(self, estimates: Sequence[float], pivot: float) -> float:
-        """Apply the estimator; see :func:`taylor_power_estimate`."""
-        return taylor_power_estimate(estimates, pivot, self.exponent, self.num_terms)
+        """Apply the estimator; bitwise equal to :func:`taylor_power_estimate`.
+
+        The same series loop, with the binomial coefficients computed once
+        per estimator rather than ``O(Q^2)`` multiplications per call.
+        """
+        estimates = np.asarray(list(estimates), dtype=float)
+        if len(estimates) < self.num_terms:
+            raise InvalidParameterError(
+                f"need at least {self.num_terms} estimates, got {len(estimates)}"
+            )
+        if pivot == 0.0:
+            raise InvalidParameterError("pivot must be non-zero")
+        deviations = (estimates[:self.num_terms] - pivot).tolist()
+        total = 0.0
+        running_product = 1.0
+        for q, coefficient in enumerate(self._coefficients):
+            total += coefficient * pivot ** (self.exponent - q) * running_product
+            if q < self.num_terms:
+                running_product *= deviations[q]
+        return total
 
     def truncation_error_bound(self, x: float, pivot: float) -> float:
         """Upper bound on the deterministic truncation error ``|x^r - series|``.

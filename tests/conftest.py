@@ -38,6 +38,12 @@ from repro.streams.generators import (
 from repro.streams.stream import TurnstileStream
 
 
+def pytest_configure(config) -> None:
+    """Register the suite's custom marks."""
+    config.addinivalue_line(
+        "markers", "slow: a long-running statistical test (deselect with -m 'not slow')")
+
+
 @pytest.fixture(scope="session")
 def small_vector() -> np.ndarray:
     """A small, skewed integer vector with one explicit zero coordinate."""
